@@ -16,10 +16,9 @@
 // router's state.  ID values depend on interning order and carry no
 // meaning: Name equality, ordering, and the byte-level hash used for
 // fingerprints are all defined over the component *strings*, so two runs
-// that intern in different orders still behave identically.  (The parallel
-// engine leans on exactly that guarantee: partitions race to intern, so
-// ID values differ run to run, and nothing behavior-visible may key off
-// them — see docs/ARCHITECTURE.md, "Concurrency model".)
+// that intern in different orders still behave identically, and nothing
+// behaviour-visible may key off ID values (docs/ARCHITECTURE.md,
+// "Determinism contract").
 //
 // Thread safety: `text(id)` is lock-free — components live in fixed-size
 // blocks whose pointers are published atomically and never move, and the

@@ -97,7 +97,8 @@ class ValidationQueue {
 /// router (ROADMAP, "multi-lane routers").  Each job names its *home*
 /// lane — a stable byte-hash of the tag key, computed by the caller;
 /// interned-name IDs are deliberately not used because their values
-/// depend on interning order, which real threads make nondeterministic.
+/// depend on interning order, which every earlier run in the process
+/// shifts.
 /// Deterministic work stealing at instant boundaries: when the home lane
 /// is busy at the arrival instant and another lane is idle, the
 /// lowest-indexed idle lane takes the job (and `steals` counts it);

@@ -75,7 +75,7 @@ void ValidationEngine::observe_face_verdict(ndn::FaceId face, bool good,
 
 std::size_t ValidationEngine::lane_for(const Tag& tag) const {
   if (lanes_.lanes() <= 1) return 0;
-  // FNV-1a over the tag key: stable across runs and thread counts
+  // FNV-1a over the tag key: stable across runs and processes
   // (unlike interned IDs, whose values depend on interning order).
   std::uint64_t hash = 14695981039346656037ull;
   for (const std::uint8_t byte : tag.bloom_key()) {

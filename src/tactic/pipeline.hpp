@@ -159,7 +159,7 @@ struct TacticConfig {
   /// the single-server queue, bit-identical to every pre-lane run; >1
   /// shards validation jobs across lanes by a stable tag-key hash with
   /// deterministic idle-lane stealing (docs/ARCHITECTURE.md,
-  /// "Concurrency model").  Only meaningful while `overload.enabled` is
+  /// "Determinism contract").  Only meaningful while `overload.enabled` is
   /// set — without the overload layer, charging is instantaneous and
   /// there is no queue to shard.
   std::size_t validation_lanes = 1;
@@ -338,7 +338,7 @@ class ValidationEngine {
   /// Home lane for `tag`'s validation work: a stable byte-hash (FNV-1a)
   /// of the tag key modulo the lane count.  Interned-name IDs are
   /// deliberately not used — their values depend on interning order,
-  /// which real threads make nondeterministic across runs.
+  /// which every earlier run in the process shifts.
   std::size_t lane_for(const Tag& tag) const;
   /// BF membership test with charging & counting.  With a staged reset
   /// in its drain window, a miss in the active filter also consults the

@@ -47,10 +47,7 @@ void InvariantChecker::arm() {
 }
 
 void InvariantChecker::schedule_sample() {
-  // schedule_global: a plain event on the sequential engine; under the
-  // parallel engine a driver-thread event with every worker parked, so
-  // the sampler may touch any partition's tables.
-  scenario_.schedule_global(options_.sample_interval, [this] {
+  scenario_.scheduler().schedule(options_.sample_interval, [this] {
     sample();
     const event::Time horizon =
         scenario_.config().duration + options_.drain_grace;
@@ -61,42 +58,33 @@ void InvariantChecker::schedule_sample() {
 void InvariantChecker::on_packet(const ndn::Forwarder& node,
                                  const ndn::PacketVariant& packet,
                                  ndn::FaceId face, bool is_rx) {
-  // The node's own scheduler is the time authority: under the parallel
-  // engine each partition's clock advances independently within an epoch
-  // and the scenario-level scheduler stands still.
-  const event::Time now = node.scheduler().now();
+  const event::Time now = scenario_.now();
 
   // Hash the event, then fold it into the multiset accumulator: a
   // lane-wise wrapping sum of per-event digests, so the fold commutes and
-  // partition interleavings cannot change the result.
+  // the order of same-instant events cannot change the result.
   util::Bytes record;
   record.reserve(25);
   append_u64(record, node.info().id);
   append_u64(record, static_cast<std::uint64_t>(face));
   record.push_back(is_rx ? 1 : 0);
   append_u64(record, static_cast<std::uint64_t>(now));
-  // Reusable wire scratch: the checker encodes every packet event, so a
-  // fresh buffer per event would dominate the run's allocations.
-  static thread_local util::Bytes wire_scratch;
-  wire::encode_into(wire_scratch, packet);
+  wire::encode_into(wire_scratch_, packet);
   crypto::Sha256 hash;
   hash.update(record);
-  hash.update(wire_scratch);
+  hash.update(wire_scratch_);
   const util::Bytes digest = hash.finish();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++packets_observed_;
-    for (std::size_t lane = 0; lane < chain_.size(); lane += 8) {
-      std::uint64_t sum = 0;
-      std::uint64_t add = 0;
-      for (std::size_t b = 0; b < 8; ++b) {
-        sum |= static_cast<std::uint64_t>(chain_[lane + b]) << (8 * b);
-        add |= static_cast<std::uint64_t>(digest[lane + b]) << (8 * b);
-      }
-      sum += add;  // wrapping; per-lane commutative fold
-      for (std::size_t b = 0; b < 8; ++b) {
-        chain_[lane + b] = static_cast<std::uint8_t>(sum >> (8 * b));
-      }
+  ++packets_observed_;
+  for (std::size_t lane = 0; lane < chain_.size(); lane += 8) {
+    std::uint64_t sum = 0;
+    std::uint64_t add = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      sum |= static_cast<std::uint64_t>(chain_[lane + b]) << (8 * b);
+      add |= static_cast<std::uint64_t>(digest[lane + b]) << (8 * b);
+    }
+    sum += add;  // wrapping; per-lane commutative fold
+    for (std::size_t b = 0; b < 8; ++b) {
+      chain_[lane + b] = static_cast<std::uint8_t>(sum >> (8 * b));
     }
   }
 
@@ -114,10 +102,7 @@ void InvariantChecker::check_delivery(const ndn::Forwarder& node,
   if (!net::is_router(node.info().kind)) return;
   if (data.is_registration_response || data.nack_attached) return;
   if (data.access_level == ndn::kPublicAccessLevel) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++deliveries_checked_;
-  }
+  ++deliveries_checked_;
 
   const std::string& label = node.info().label;
   if (!data.tag) {
@@ -167,14 +152,12 @@ void InvariantChecker::check_delivery(const ndn::Forwarder& node,
   }
   if (!structurally_invalid && !signature_valid(tag)) {
     // Possibly a designed Bloom false positive — budgeted at finalize().
-    std::lock_guard<std::mutex> lock(mutex_);
     ++fp_leaks_;
   }
 }
 
 bool InvariantChecker::signature_valid(const core::Tag& tag) {
   const std::string key = util::to_hex(tag.bloom_key());
-  std::lock_guard<std::mutex> lock(mutex_);
   auto it = signature_cache_.find(key);
   if (it != signature_cache_.end()) return it->second;
   const bool valid = core::verify_tag_signature(tag, scenario_.anchors().pki);
@@ -392,7 +375,6 @@ void InvariantChecker::finalize() {
 void InvariantChecker::add_violation(event::Time when,
                                      const std::string& node,
                                      std::string what) {
-  std::lock_guard<std::mutex> lock(mutex_);
   ++violation_count_;
   if (violations_.size() < options_.max_recorded) {
     violations_.push_back(Violation{when, node, std::move(what)});

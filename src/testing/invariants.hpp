@@ -32,19 +32,13 @@
 // through its bit-reproducibility comparison.  Every packet event is
 // hashed (SHA-256 over node/face/direction/time/wire bytes) and folded
 // into `trace_digest()` as an order-insensitive multiset accumulator
-// (lane-wise wrapping sum of the per-event digests).  Order-insensitivity
-// is what lets the digest compare across engines: the parallel scheduler
-// observes the same packet events in a different interleaving, and the
-// digest must not care.  Digests are only ever compared run-to-run within
-// one build — never pinned as goldens.
-//
-// Thread safety: on_packet may run concurrently from partition worker
-// threads (parallel engine); the fold, the counters, and the signature
-// cache are guarded by one mutex.  sample()/finalize() run exclusively
-// (global events park every worker; finalize runs after the loop).
+// (lane-wise wrapping sum of the per-event digests).  The digest names
+// the set of packet events — which node saw which bytes on which face at
+// which instant — and not the order in which handlers sharing an instant
+// ran, which is an artefact of event sequence numbers.  Digests are only
+// ever compared run-to-run within one build — never pinned as goldens.
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,8 +99,8 @@ class InvariantChecker {
   const std::vector<Violation>& violations() const { return violations_; }
 
   /// Hex multiset accumulator (lane-wise sum of per-event SHA-256) over
-  /// every packet event observed.  Interleaving-independent by
-  /// construction; compared run-to-run, never golden-pinned.
+  /// every packet event observed.  Independent of the order of events
+  /// within an instant; compared run-to-run, never golden-pinned.
   std::string trace_digest() const;
 
   std::uint64_t packets_observed() const { return packets_observed_; }
@@ -134,10 +128,10 @@ class InvariantChecker {
   bool armed_ = false;
   bool finalized_ = false;
 
-  /// Guards the digest fold, counters, caches, and violation list against
-  /// concurrent on_packet calls from partition workers.
-  mutable std::mutex mutex_;
   util::Bytes chain_;  // multiset accumulator over per-event digests
+  // Reusable wire scratch: the checker encodes every packet event, so a
+  // fresh buffer per event would dominate the run's allocations.
+  util::Bytes wire_scratch_;
   std::unordered_map<std::string, bool> signature_cache_;
   std::unordered_map<net::NodeId, int> fpp_streak_;
 

@@ -1,10 +1,11 @@
 // Tests for the overload-resilience layer: the deterministic validation
-// queue, negative-tag verdict cache, and token-bucket primitives; bounded
-// PIT with LRU eviction; the client back-off ceiling; and the pinned
-// scenario-level guarantees — an attacker flood is shed while valid
-// clients keep their delivery, a staged BF reset suppresses the
-// re-validation surge, a disabled layer is bit-identical to the
-// pre-overload model, and everything stays deterministic.
+// queue and its multi-lane form, negative-tag verdict cache, and
+// token-bucket primitives; bounded PIT with LRU eviction; the client
+// back-off ceiling; and the pinned scenario-level guarantees — an
+// attacker flood is shed while valid clients keep their delivery, a
+// staged BF reset suppresses the re-validation surge, a disabled layer
+// is bit-identical to the pre-overload model, and everything stays
+// deterministic.
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,72 @@ TEST(ValidationQueue, ResetDropsPendingWork) {
   EXPECT_EQ(queue.depth(0), 0u);
   // The server is free again immediately.
   EXPECT_EQ(queue.admit(0, 7), 7);
+}
+
+// ---------------------------------------------------------------------------
+// ValidationLanes
+// ---------------------------------------------------------------------------
+
+TEST(ValidationLanes, SingleLaneMatchesValidationQueue) {
+  core::ValidationQueue queue;
+  core::ValidationLanes lanes(1);
+  for (event::Time now : {0, 5, 9, 9, 40}) {
+    const event::Time service = 7;
+    EXPECT_EQ(queue.admit(now, service), lanes.admit(0, now, service));
+  }
+  EXPECT_EQ(lanes.steals(), 0u);  // nowhere to steal to
+  EXPECT_EQ(queue.total_wait(), lanes.total_wait());
+  EXPECT_EQ(queue.peak_depth(), lanes.peak_depth());
+}
+
+TEST(ValidationLanes, DeterministicStealToLowestIdleLane) {
+  core::ValidationLanes lanes(3);
+  // First job occupies its home lane 1.
+  EXPECT_EQ(lanes.admit(1, 0, 10), 10);
+  EXPECT_EQ(lanes.steals(), 0u);
+  // Same instant, same busy home lane: the lowest-indexed idle lane (0)
+  // takes it — no waiting, one steal.
+  EXPECT_EQ(lanes.admit(1, 0, 10), 10);
+  EXPECT_EQ(lanes.steals(), 1u);
+  // Next job: lanes 0 and 1 busy, lane 2 idle — steal again.
+  EXPECT_EQ(lanes.admit(1, 0, 10), 10);
+  EXPECT_EQ(lanes.steals(), 2u);
+  // All lanes busy: the job queues FIFO behind its home lane.
+  EXPECT_EQ(lanes.admit(1, 0, 10), 20);
+  EXPECT_EQ(lanes.steals(), 2u);
+  EXPECT_EQ(lanes.depth(0), 4u);
+}
+
+TEST(ValidationLanes, IdleHomeLaneIsNeverStolenFrom) {
+  core::ValidationLanes lanes(4);
+  // An idle home lane takes its own job even when lower-indexed lanes
+  // are also idle — stealing only rescues jobs from a busy home.
+  EXPECT_EQ(lanes.admit(3, 0, 4), 4);
+  EXPECT_EQ(lanes.steals(), 0u);
+  EXPECT_EQ(lanes.lane_depth(3, 0), 1u);
+  EXPECT_EQ(lanes.lane_depth(0, 0), 0u);
+}
+
+TEST(ValidationLanes, ResetWipesEveryLane) {
+  core::ValidationLanes lanes(3);
+  lanes.admit(0, 0, 100);
+  lanes.admit(1, 0, 100);
+  lanes.admit(2, 0, 100);
+  EXPECT_EQ(lanes.depth(0), 3u);
+  lanes.reset();  // crash: pending work dies with the router
+  EXPECT_EQ(lanes.depth(0), 0u);
+  // Post-restart jobs see fresh lanes, not the dead backlog.
+  EXPECT_EQ(lanes.admit(0, 1, 10), 10);
+}
+
+TEST(ValidationLanes, ConfigureResizesAndClears) {
+  core::ValidationLanes lanes(2);
+  lanes.admit(0, 0, 50);
+  lanes.configure(5);
+  EXPECT_EQ(lanes.lanes(), 5u);
+  EXPECT_EQ(lanes.depth(0), 0u);
+  lanes.configure(0);  // clamped
+  EXPECT_EQ(lanes.lanes(), 1u);
 }
 
 // ---------------------------------------------------------------------------
