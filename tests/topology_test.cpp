@@ -134,8 +134,11 @@ TEST(BarabasiAlbert, DeterministicForSeed) {
 // Table III presets
 // ---------------------------------------------------------------------------
 
+// Every member has the same width, so the struct has no padding: gtest names
+// each case by dumping the parameter's bytes, and uninitialised padding would
+// make those names change from one process to the next.
 struct PresetExpectation {
-  int index;
+  std::size_t index;
   std::size_t core, edge, clients, attackers;
 };
 
@@ -143,7 +146,8 @@ class PaperPresets : public ::testing::TestWithParam<PresetExpectation> {};
 
 TEST_P(PaperPresets, MatchesTableIII) {
   const auto expected = GetParam();
-  const TopologyParams params = paper_topology(expected.index);
+  const TopologyParams params =
+      paper_topology(static_cast<int>(expected.index));
   EXPECT_EQ(params.core_routers, expected.core);
   EXPECT_EQ(params.edge_routers, expected.edge);
   EXPECT_EQ(params.clients, expected.clients);
